@@ -51,10 +51,6 @@ The public API is organised in subpackages:
 ``repro.analysis``
     Histograms, correlation analysis and Table-I style reporting.
 
-``repro.backend``
-    Swappable array backends (numpy reference, torch, cupy) behind one
-    kernel interface, conformance-pinned against the scalar oracle.
-
 ``repro.store``
     Pluggable storage tier: URI-addressed JSONL / SQLite(WAL) drivers
     behind one conformance-tested ``StoreBackend`` contract.

@@ -97,15 +97,43 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: float > 0 with a clear error instead of a traceback."""
+def _float(text: str) -> float:
+    """Argparse helper: parse a float, reporting bad text as a usage error."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if value <= 0:
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: float > 0 with a clear error instead of a traceback."""
+    value = _float(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _non_negative_float(text: str) -> float:
+    """Argparse type: float >= 0 with a clear error instead of a traceback."""
+    value = _float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _suite_circuit(text: str) -> str:
+    """Argparse type: a Table-I circuit name.
+
+    The suite module is imported when an argument is parsed, not when
+    the parser is built, so commands without ``--circuit`` never load it.
+    """
+    from repro.circuit.suite import CIRCUIT_SPECS
+
+    if text not in CIRCUIT_SPECS:
+        raise argparse.ArgumentTypeError(
+            f"unknown circuit {text!r} (available: {', '.join(CIRCUIT_SPECS)})"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,13 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
     insert.add_argument("--eval-samples", type=_positive_int, default=1000, help="evaluation samples")
     insert.add_argument(
         "--sigma",
-        type=float,
+        type=_non_negative_float,
         default=0.0,
         help="target period expressed as mu_T + sigma * sigma_T (paper uses 0, 1, 2)",
     )
-    insert.add_argument("--period", type=float, default=None, help="absolute target period (overrides --sigma)")
+    insert.add_argument(
+        "--period",
+        type=_positive_float,
+        default=None,
+        help="absolute target period (overrides --sigma)",
+    )
     insert.add_argument("--solver", choices=("graph", "milp"), default="graph", help="per-sample solver backend")
-    insert.add_argument("--max-buffers", type=int, default=None, help="cap on physical buffers after grouping")
+    insert.add_argument(
+        "--max-buffers",
+        type=_positive_int,
+        default=None,
+        help="cap on physical buffers after grouping",
+    )
     from repro.engine import EXECUTOR_CHOICES
 
     insert.add_argument(
@@ -162,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress", action="store_true", help="print per-phase sample progress to stderr"
     )
     insert.add_argument("--json", action="store_true", help="print the result as JSON")
-    _add_backend_argument(insert)
     _add_trace_argument(insert, "insert")
 
     _add_bench_parsers(subparsers)
@@ -231,18 +268,6 @@ def _queue_uri_parent() -> argparse.ArgumentParser:
         "(bare paths infer jsonl)",
     )
     return parent
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the timing kernels: numpy (default), torch[:device] "
-        "or cupy when installed; an explicit unavailable backend exits 2, the "
-        "REPRO_BACKEND environment variable is a soft preference that falls "
-        "back to numpy with a notice",
-    )
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser, label: str) -> None:
@@ -470,7 +495,6 @@ def _add_campaign_parsers(subparsers) -> None:
         help="print per-cell campaign and per-phase engine progress to stderr",
     )
     run.add_argument("--json", action="store_true", help="print the run summary as JSON")
-    _add_backend_argument(run)
     _add_trace_argument(run, "campaign-run")
 
     status = campaign_sub.add_parser(
@@ -671,7 +695,6 @@ def _add_service_parsers(subparsers) -> None:
     work.add_argument(
         "--json", action="store_true", help="print the worker summary as JSON"
     )
-    _add_backend_argument(work)
     _add_trace_argument(work, "work")
 
     submit = subparsers.add_parser(
@@ -742,7 +765,6 @@ def _add_bench_parsers(subparsers) -> None:
         "--progress", action="store_true", help="print per-phase sample progress to stderr"
     )
     run.add_argument("--json", action="store_true", help="print the artifact JSON to stdout")
-    _add_backend_argument(run)
     _add_trace_argument(run, "bench-run")
 
     compare = bench_sub.add_parser("compare", help="diff two benchmark artifacts")
@@ -804,8 +826,12 @@ def _add_bench_parsers(subparsers) -> None:
 
 
 def _add_circuit_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--circuit", default="s9234", help="Table-I circuit name")
-    parser.add_argument("--scale", type=float, default=0.2, help="circuit size scale factor")
+    parser.add_argument(
+        "--circuit", type=_suite_circuit, default="s9234", help="Table-I circuit name"
+    )
+    parser.add_argument(
+        "--scale", type=_positive_float, default=0.2, help="circuit size scale factor"
+    )
     parser.add_argument("--seed", type=int, default=1, help="seed for circuit generation and sampling")
 
 
@@ -1506,15 +1532,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend_name = getattr(args, "backend", None)
-    if backend_name:
-        from repro.backend import BackendError, set_active_backend
-
-        try:
-            set_active_backend(backend_name)
-        except BackendError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
     trace_path = _requested_trace_path(args)
     if trace_path is None:
         return _dispatch(parser, args)

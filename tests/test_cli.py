@@ -63,6 +63,33 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["insert", "--circuit", "nope"], "unknown circuit 'nope' (available: s9234,"),
+            (["characterize", "--circuit", "nope"], "unknown circuit 'nope'"),
+            (["insert", "--scale", "0"], "must be > 0"),
+            (["insert", "--scale", "-1"], "must be > 0"),
+            (["characterize", "--scale", "0"], "must be > 0"),
+            (["insert", "--sigma", "-1"], "must be >= 0"),
+            (["insert", "--period", "-1"], "must be > 0"),
+            (["insert", "--max-buffers", "-1"], "must be >= 1"),
+            (["insert", "--scale", "big"], "expected a number"),
+        ],
+    )
+    def test_malformed_flow_arguments_rejected(self, argv, message, capsys):
+        """Bad circuit/size/target values exit 2 with a message, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: argument" in err
+        assert message in err
+
+    def test_sigma_zero_accepted(self):
+        args = build_parser().parse_args(["insert", "--sigma", "0"])
+        assert args.sigma == 0.0
+
     def test_non_integer_count_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["insert", "--samples", "lots"])
