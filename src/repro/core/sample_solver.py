@@ -173,6 +173,69 @@ class SampleSolution:
     unrescuable_regions: int = 0
 
 
+def concentration_lp(
+    problem: SampleProblem,
+    ffs: Sequence[int],
+    constraints: Sequence[DifferenceConstraint],
+    targets: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """Array form of the concentration LP over a support (problems (14)–(21)).
+
+    ``min sum_i t_i`` subject to ``t_i >= x_i - target_i``,
+    ``t_i >= target_i - x_i`` and the support's difference constraints
+    (non-support values pinned to 0), with the variables interleaved as
+    ``x_ff, t_ff`` for every flip-flop of the sorted ``ffs``.  Returns
+    ``c``, ``a_ub``, ``b_ub``, ``lower`` and ``upper``.
+
+    Rows come in the order the modelling front end would add them (both
+    ``t`` rows of each flip-flop, then one row per constraint), and every
+    entry — down to the sign of a zero — equals what
+    :meth:`repro.milp.model.Model.to_arrays` produces for the same model
+    built from :class:`~repro.milp.expr.LinExpr` terms, so the simplex
+    takes the same pivots either way.
+    """
+    n = len(ffs)
+    idx = np.asarray(ffs, dtype=int)
+    target = np.asarray(targets, dtype=float)[idx]
+    x_lower = np.asarray(problem.lower[idx], dtype=float)
+    x_upper = np.asarray(problem.upper[idx], dtype=float)
+    span = (problem.upper[idx] - problem.lower[idx]).astype(float) + np.abs(target) + 1.0
+
+    c = np.zeros(2 * n)
+    c[1::2] = 1.0
+    lower = np.zeros(2 * n)
+    lower[0::2] = x_lower
+    upper = np.empty(2 * n)
+    upper[0::2] = x_upper
+    upper[1::2] = span
+
+    # ``t >= x - target`` and ``t >= target - x`` are >= rows, negated into
+    # <= rows: their untouched entries are -0.0.
+    m = 2 * n + len(constraints)
+    a_ub = np.zeros((m, 2 * n))
+    a_ub[: 2 * n] = -0.0
+    x_col = 2 * np.arange(n)
+    a_ub[x_col, x_col] = 1.0
+    a_ub[x_col, x_col + 1] = -1.0
+    a_ub[x_col + 1, x_col] = -1.0
+    a_ub[x_col + 1, x_col + 1] = -1.0
+    b_ub = np.empty(m)
+    b_ub[0 : 2 * n : 2] = target + 0.0
+    b_ub[1 : 2 * n : 2] = 0.0 - target
+
+    # ``x_u - x_v <= w``; a REFERENCE end is the pinned value 0.
+    col = {ff: 2 * p for p, ff in enumerate(ffs)}
+    u = np.array([col.get(con.u, -1) for con in constraints], dtype=int)
+    v = np.array([col.get(con.v, -1) for con in constraints], dtype=int)
+    weight = np.array([con.weight for con in constraints], dtype=float)
+    rows = 2 * n + np.arange(len(constraints))
+    a_ub[rows[u >= 0], u[u >= 0]] = 1.0
+    a_ub[rows[v >= 0], v[v >= 0]] -= 1.0
+    # ``-x_v <= w`` keeps w as is; the other forms turn a zero w into -0.0.
+    b_ub[2 * n :] = np.where(u >= 0, -(0.0 - weight), weight)
+    return {"c": c, "a_ub": a_ub, "b_ub": b_ub, "lower": lower, "upper": upper}
+
+
 # ----------------------------------------------------------------------
 # The solver
 # ----------------------------------------------------------------------
@@ -358,10 +421,7 @@ class PerSampleSolver:
         if len(pool) <= self.exact_region_size or self.backend == "milp":
             support = self._refine_support(problem, region_edges, pool, support, targets)
 
-        assignment = self._concentrate(problem, region_edges, support, targets)
-        if assignment is None:  # pragma: no cover - concentration always falls back
-            assignment = self._feasible_assignment(problem, region_edges, support)
-        return assignment
+        return self._concentrate(problem, region_edges, support, targets)
 
     def _build_pool(self, region_ffs: Set[int], candidates: np.ndarray, hops: int) -> Set[int]:
         """Candidate buffers reachable within ``hops`` from the region."""
@@ -393,14 +453,23 @@ class PerSampleSolver:
         Returns ``None`` when a scope constraint between two pinned
         flip-flops is violated (the support cannot possibly repair it).
         """
+        scope = np.asarray(scope, dtype=int)
+        launch = self.topology.edge_launch[scope]
+        capture = self.topology.edge_capture[scope]
+        free = np.zeros(self.topology.n_ffs, dtype=bool)
+        free[list(support)] = True
+        launch_free, capture_free = free[launch], free[capture]
+        setup = np.asarray(problem.setup_bound, dtype=float)[scope]
+        hold = np.asarray(problem.hold_bound, dtype=float)[scope]
+        pinned = ~(launch_free | capture_free)
+        if (pinned & ((setup < -_TOL) | (hold < -_TOL))).any():
+            return None
+
         constraints: List[DifferenceConstraint] = []
-        launch = self.topology.edge_launch
-        capture = self.topology.edge_capture
-        for k in scope:
-            i, j = int(launch[k]), int(capture[k])
-            bs = float(problem.setup_bound[k])
-            bh = float(problem.hold_bound[k])
-            i_free, j_free = i in support, j in support
+        for i, j, i_free, j_free, bs, bh in zip(
+            launch.tolist(), capture.tolist(), launch_free.tolist(), capture_free.tolist(),
+            setup.tolist(), hold.tolist(), strict=True,
+        ):
             if i_free and j_free:
                 constraints.append(DifferenceConstraint(i, j, bs))
                 constraints.append(DifferenceConstraint(j, i, bh))
@@ -410,9 +479,6 @@ class PerSampleSolver:
             elif j_free:
                 constraints.append(DifferenceConstraint(REFERENCE, j, bs))
                 constraints.append(DifferenceConstraint(j, REFERENCE, bh))
-            else:
-                if bs < -_TOL or bh < -_TOL:
-                    return None
         return constraints
 
     def _is_feasible(
@@ -425,10 +491,25 @@ class PerSampleSolver:
     ) -> Optional[Dict[int, float]]:
         """A feasible assignment for the support (values of non-support FFs
         are implicitly zero), or ``None``."""
+        # Every region edge is violated, so one with neither end in the
+        # support stays violated: reject before building the scope.
+        launch, capture = self.topology.edge_launch, self.topology.edge_capture
+        for k in region_edges:
+            if int(launch[k]) not in support and int(capture[k]) not in support:
+                return None
         scope = self._scope_edges(support, region_edges)
         constraints = self._build_constraints(problem, support, scope)
         if constraints is None:
             return None
+        return self._witness(problem, support, constraints)
+
+    def _witness(
+        self,
+        problem: SampleProblem,
+        support: Set[int],
+        constraints: List[DifferenceConstraint],
+    ) -> Optional[Dict[int, float]]:
+        """Bellman–Ford solution of a support's constraint system, or ``None``."""
         lower = {ff: float(problem.lower[ff]) for ff in support}
         upper = {ff: float(problem.upper[ff]) for ff in support}
         assignment = solve_difference_system(sorted(support), constraints, lower, upper)
@@ -551,15 +632,14 @@ class PerSampleSolver:
         Falls back to the plain Bellman–Ford witness when concentration is
         disabled or the LP does not return a usable vertex.
         """
-        witness = self._feasible_assignment(problem, region_edges, support)
+        scope = self._scope_edges(support, region_edges)
+        constraints = self._build_constraints(problem, support, scope)
+        if constraints is None:
+            return None
+        witness = self._witness(problem, support, constraints)
         if witness is None:
             return None
         if not self.concentrate:
-            return witness
-
-        scope = self._scope_edges(support, region_edges)
-        constraints = self._build_constraints(problem, support, scope)
-        if constraints is None:  # pragma: no cover - witness exists, so cannot happen
             return witness
 
         if len(support) == 1:
@@ -568,36 +648,19 @@ class PerSampleSolver:
                 return single
             return witness
 
-        from repro.milp.model import Model, VarType  # local import (cheap)
+        from repro.milp.backends import solve_lp  # local import (cheap)
 
-        model = Model("concentrate")
-        x_vars: Dict[int, object] = {}
-        t_vars: Dict[int, object] = {}
-        objective_terms = []
-        for ff in sorted(support):
-            x = model.add_var(f"x_{ff}", lb=float(problem.lower[ff]), ub=float(problem.upper[ff]))
-            span = float(problem.upper[ff] - problem.lower[ff]) + abs(float(targets[ff])) + 1.0
-            t = model.add_var(f"t_{ff}", lb=0.0, ub=span)
-            x_vars[ff], t_vars[ff] = x, t
-            target = float(targets[ff])
-            model.add_constr(t >= x - target)
-            model.add_constr(t >= target - x)
-            objective_terms.append(t)
-        for constraint in constraints:
-            if constraint.u == REFERENCE:
-                model.add_constr(-1.0 * x_vars[constraint.v] <= constraint.weight)
-            elif constraint.v == REFERENCE:
-                model.add_constr(1.0 * x_vars[constraint.u] <= constraint.weight)
-            else:
-                model.add_constr(x_vars[constraint.u] - x_vars[constraint.v] <= constraint.weight)
-        from repro.milp.expr import LinExpr
-
-        model.set_objective(LinExpr.sum_of(objective_terms))
-        solution = model.solve(backend=self._concentrate_backend(len(support)))
-        if not solution.is_feasible:  # pragma: no cover - witness exists
+        ffs = sorted(support)
+        lp = concentration_lp(problem, ffs, constraints, targets)
+        result = solve_lp(
+            lp["c"], lp["a_ub"], lp["b_ub"], None, None, lp["lower"], lp["upper"],
+            backend=self._concentrate_backend(len(ffs)),
+        )
+        if not result.status.has_solution or result.x is None:  # pragma: no cover
             return witness
 
-        values = {ff: float(solution[x_vars[ff]]) for ff in support}
+        x_of = dict(zip(ffs, result.x[0::2].tolist(), strict=True))
+        values = {ff: x_of[ff] for ff in support}
         if self.integral:
             values = {ff: float(round(v)) for ff, v in values.items()}
         lower = {ff: float(problem.lower[ff]) for ff in support}

@@ -14,6 +14,7 @@ on randomly generated LPs.
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Optional
 
 import numpy as np
@@ -21,13 +22,10 @@ import numpy as np
 from repro.milp.simplex import LpResult, solve_lp_arrays
 from repro.milp.status import SolveStatus
 
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linprog as _scipy_linprog
-
-    HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy genuinely absent
-    _scipy_linprog = None
-    HAVE_SCIPY = False
+#: Whether scipy is installed.  ``scipy.optimize`` itself is imported only
+#: by the first scipy solve: the flow's concentration LPs normally run on
+#: the built-in simplex, and the import costs a cold process ~0.2 s.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def default_backend() -> str:
@@ -63,8 +61,13 @@ def solve_lp(
 
 
 def _solve_with_scipy(c, a_ub, b_ub, a_eq, b_eq, lower, upper) -> LpResult:
+    try:
+        from scipy.optimize import linprog
+    except ImportError as exc:  # pragma: no cover - scipy installed but broken
+        raise RuntimeError("scipy backend requested but scipy.optimize failed to import") from exc
+
     bounds = list(zip(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float), strict=True))
-    result = _scipy_linprog(
+    result = linprog(
         c,
         A_ub=a_ub if a_ub is not None and np.size(a_ub) else None,
         b_ub=b_ub if b_ub is not None and np.size(b_ub) else None,

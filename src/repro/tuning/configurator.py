@@ -119,11 +119,39 @@ class PostSiliconConfigurator:
                     raise KeyError(f"buffered flip-flop {ff!r} is not in the topology")
                 self._var_of_ff[ff_index[ff]] = var_id
 
-        # Scope: every edge incident to a buffered flip-flop.
+        # Scope: every edge incident to a buffered flip-flop.  A violated
+        # edge outside it has no buffered end and fails the chip at once, so
+        # the scope is the same for every chip.
         scope: Set[int] = set()
         for ff_idx in self._var_of_ff:
             scope.update(topology.edges_of_ff[ff_idx])
         self._scope = sorted(scope)
+        self._buffered = np.zeros(topology.n_ffs, dtype=bool)
+        self._buffered[list(self._var_of_ff)] = True
+
+        # Per scope edge (i, j) with tuning variables (vi, vj) -- REFERENCE
+        # for an unbuffered end -- the setup row is x_vi - x_vj <= bs and the
+        # hold row x_vj - x_vi <= bh.  An edge with both ends on one
+        # physical buffer only constrains the sign of its bounds.
+        scope_idx = np.asarray(self._scope, dtype=int)
+        pairs = [
+            (self._var_of_ff.get(i, REFERENCE), self._var_of_ff.get(j, REFERENCE))
+            for i, j in zip(
+                topology.edge_launch[scope_idx].tolist(),
+                topology.edge_capture[scope_idx].tolist(),
+                strict=True,
+            )
+        ]
+        shared = np.array([vi == vj for vi, vj in pairs], dtype=bool)
+        self._shared_edges = scope_idx[shared]
+        self._pair_edges = scope_idx[~shared]
+        self._pairs = [pair for pair, same in zip(pairs, shared, strict=True) if not same]
+
+        lower, upper = self._solver_bounds()
+        self._variables = list(range(self.n_variables))
+        self._lower = dict(enumerate(lower))
+        self._upper = dict(enumerate(upper))
+        self._names = [(topology.ff_names[ff], var) for ff, var in self._var_of_ff.items()]
 
     # ------------------------------------------------------------------
     @property
@@ -166,60 +194,41 @@ class PostSiliconConfigurator:
         if violated.size == 0:
             return True, {}
 
-        launch, capture = self.topology.edge_launch, self.topology.edge_capture
         # A violated edge with no buffered endpoint cannot be repaired.
-        for k in violated:
-            if int(launch[k]) not in self._var_of_ff and int(capture[k]) not in self._var_of_ff:
-                return False, None
-        if not self._var_lower:
+        topology = self.topology
+        buffered = self._buffered
+        if not np.all(buffered[topology.edge_launch[violated]]
+                      | buffered[topology.edge_capture[violated]]):
             return False, None
 
         scale = self.step if self.step > 0 else 1.0
+        setup = np.asarray(setup_bound, dtype=float)
+        hold = np.asarray(hold_bound, dtype=float)
+        if self._shared_edges.size:
+            same_setup = self._bounds(setup[self._shared_edges], scale)
+            same_hold = self._bounds(hold[self._shared_edges], scale)
+            if (same_setup < -_TOL).any() or (same_hold < -_TOL).any():
+                return False, None
+        bs = self._bounds(setup[self._pair_edges], scale).tolist()
+        bh = self._bounds(hold[self._pair_edges], scale).tolist()
         constraints: List[DifferenceConstraint] = []
-        scope = set(self._scope) | {int(k) for k in violated}
-        for k in sorted(scope):
-            i, j = int(launch[k]), int(capture[k])
-            bs = float(setup_bound[k]) / scale
-            bh = float(hold_bound[k]) / scale
-            if self.step > 0:
-                bs = math.floor(bs + 1e-9)
-                bh = math.floor(bh + 1e-9)
-            vi = self._var_of_ff.get(i)
-            vj = self._var_of_ff.get(j)
-            if vi is not None and vj is not None:
-                if vi == vj:
-                    # Same physical buffer on both ends: the difference is 0.
-                    if bs < -_TOL or bh < -_TOL:
-                        return False, None
-                    continue
-                constraints.append(DifferenceConstraint(vi, vj, bs))
-                constraints.append(DifferenceConstraint(vj, vi, bh))
-            elif vi is not None:
-                constraints.append(DifferenceConstraint(vi, REFERENCE, bs))
-                constraints.append(DifferenceConstraint(REFERENCE, vi, bh))
-            elif vj is not None:
-                constraints.append(DifferenceConstraint(REFERENCE, vj, bs))
-                constraints.append(DifferenceConstraint(vj, REFERENCE, bh))
-            else:
-                if bs < -_TOL or bh < -_TOL:
-                    return False, None
+        for (vi, vj), w_setup, w_hold in zip(self._pairs, bs, bh, strict=True):
+            constraints.append(DifferenceConstraint(vi, vj, w_setup))
+            constraints.append(DifferenceConstraint(vj, vi, w_hold))
 
-        lower, upper = self._solver_bounds()
-        variables = list(range(self.n_variables))
         assignment = solve_difference_system(
-            variables,
-            constraints,
-            {v: lower[v] for v in variables},
-            {v: upper[v] for v in variables},
+            self._variables, constraints, self._lower, self._upper
         )
         if assignment is None:
             return False, None
+        return True, {name: float(assignment[var] * scale) for name, var in self._names}
 
-        result: Dict[str, float] = {}
-        for ff_idx, var in self._var_of_ff.items():
-            value = assignment[var] * scale
-            result[self.topology.ff_names[ff_idx]] = float(value)
-        return True, result
+    def _bounds(self, bound: np.ndarray, scale: float) -> np.ndarray:
+        """Per-edge bounds in solver units (rounded down to whole steps)."""
+        bound = bound / scale
+        if self.step > 0:
+            bound = np.floor(bound + 1e-9)
+        return bound
 
     # ------------------------------------------------------------------
     def evaluate(

@@ -1,8 +1,14 @@
 """Cross-validation of the built-in simplex against scipy's HiGHS."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.milp.backends import HAVE_SCIPY, default_backend, solve_lp
 from repro.milp.status import SolveStatus
 
@@ -60,3 +66,28 @@ class TestBackendAgreement:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             solve_lp(np.array([1.0]), None, None, None, None, np.array([0.0]), np.array([1.0]), backend="cplex")
+
+
+class TestLazyScipyImport:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is imported by the first scipy solve, not by the
+        # module: a fresh interpreter that only imports it must not load it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, repro.milp.backends as b; "
+            "print(b.HAVE_SCIPY, 'scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True", "False"]
+
+    def test_first_scipy_solve_imports_linprog(self):
+        result = solve_lp(
+            np.array([1.0]), None, None, None, None, np.array([-1.0]), np.array([2.0]),
+            backend="scipy",
+        )
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.x == pytest.approx([-1.0])
+        assert "scipy.optimize" in sys.modules

@@ -115,3 +115,55 @@ class TestSimplexBasics:
         )
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(-1.0)
+
+
+class TestDependentEqualityRows:
+    """A redundant equality row leaves an artificial basic after phase 1.
+
+    The row must be dropped before phase 2; it used to make phase 2 index
+    the cost vector past the removed artificial columns (IndexError).
+    """
+
+    def test_duplicated_equality_row(self):
+        result = solve_lp_arrays(
+            c=np.array([-1.0, 0.0]),
+            a_ub=None,
+            b_ub=None,
+            a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
+            b_eq=np.array([1.0, 1.0]),
+            lower=np.zeros(2),
+            upper=np.full(2, 5.0),
+        )
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(-1.0)
+        assert result.x == pytest.approx([1.0, 0.0])
+
+    def test_linear_combination_with_inequalities(self):
+        # Third equality row = first + second; x0 <= 2 is binding.
+        result = solve_lp_arrays(
+            c=np.array([-1.0, -1.0, 0.0]),
+            a_ub=np.array([[1.0, 0.0, 0.0]]),
+            b_ub=np.array([2.0]),
+            a_eq=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]),
+            b_eq=np.array([3.0, 1.0, 4.0]),
+            lower=np.zeros(3),
+            upper=np.full(3, 5.0),
+        )
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(-2.0)
+        x = result.x
+        assert x[0] + x[2] == pytest.approx(3.0) and x[1] + x[2] == pytest.approx(1.0)
+
+    def test_through_model_front_end(self):
+        from repro.milp.model import Model
+
+        model = Model()
+        x = model.add_var("x", lb=0.0, ub=5.0)
+        y = model.add_var("y", lb=0.0, ub=5.0)
+        model.add_constr(x + y == 1.0)
+        model.add_constr(x + y == 1.0)
+        model.set_objective(-1.0 * x)
+        solution = model.solve(backend="simplex")
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(-1.0)
+        assert solution[x] == pytest.approx(1.0)

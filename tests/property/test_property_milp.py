@@ -11,34 +11,42 @@ from repro.milp.status import SolveStatus
 
 @st.composite
 def bounded_lps(draw):
-    """Random LPs that contain the origin, hence are feasible."""
+    """Random LPs that contain the origin, hence are feasible.
+
+    Optional equality rows pass through the origin (``b_eq = 0``); some are
+    drawn as exact copies of an earlier row, so the system can have
+    dependent equalities.
+    """
     n_vars = draw(st.integers(2, 5))
     n_rows = draw(st.integers(1, 6))
+    row = st.lists(st.floats(-1, 1), min_size=n_vars, max_size=n_vars)
     c = np.array(draw(st.lists(st.floats(-2, 2), min_size=n_vars, max_size=n_vars)))
-    a = np.array(
-        draw(
-            st.lists(
-                st.lists(st.floats(-1, 1), min_size=n_vars, max_size=n_vars),
-                min_size=n_rows,
-                max_size=n_rows,
-            )
-        )
-    )
+    a = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
     b = np.array(draw(st.lists(st.floats(0.1, 3), min_size=n_rows, max_size=n_rows)))
     lower = np.array(draw(st.lists(st.floats(-4, -0.5), min_size=n_vars, max_size=n_vars)))
     upper = np.array(draw(st.lists(st.floats(0.5, 4), min_size=n_vars, max_size=n_vars)))
-    return c, a, b, lower, upper
+    eq_rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        if eq_rows and draw(st.booleans()):
+            eq_rows.append(eq_rows[draw(st.integers(0, len(eq_rows) - 1))])
+        else:
+            eq_rows.append(draw(row))
+    a_eq = np.array(eq_rows) if eq_rows else None
+    b_eq = np.zeros(len(eq_rows)) if eq_rows else None
+    return c, a, b, a_eq, b_eq, lower, upper
 
 
 class TestLpProperties:
     @given(bounded_lps())
     def test_simplex_returns_feasible_optimum(self, lp):
-        c, a, b, lower, upper = lp
-        result = solve_lp(c, a, b, None, None, lower, upper, backend="simplex")
+        c, a, b, a_eq, b_eq, lower, upper = lp
+        result = solve_lp(c, a, b, a_eq, b_eq, lower, upper, backend="simplex")
         assert result.status is SolveStatus.OPTIMAL
         x = result.x
         assert np.all(x >= lower - 1e-6) and np.all(x <= upper + 1e-6)
         assert np.all(a @ x <= b + 1e-6)
+        if a_eq is not None:
+            assert np.all(np.abs(a_eq @ x - b_eq) <= 1e-6)
         # The origin is feasible, so the optimum can be no worse than 0.
         assert result.objective <= 1e-7
 
@@ -46,8 +54,8 @@ class TestLpProperties:
     @given(bounded_lps())
     @settings(max_examples=15)
     def test_simplex_matches_scipy_objective(self, lp):
-        c, a, b, lower, upper = lp
-        own = solve_lp(c, a, b, None, None, lower, upper, backend="simplex")
-        ref = solve_lp(c, a, b, None, None, lower, upper, backend="scipy")
+        c, a, b, a_eq, b_eq, lower, upper = lp
+        own = solve_lp(c, a, b, a_eq, b_eq, lower, upper, backend="simplex")
+        ref = solve_lp(c, a, b, a_eq, b_eq, lower, upper, backend="scipy")
         assert own.status is SolveStatus.OPTIMAL and ref.status is SolveStatus.OPTIMAL
         assert own.objective == pytest.approx(ref.objective, abs=1e-5)
